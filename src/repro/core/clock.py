@@ -13,9 +13,10 @@ there is no way to observe the same edge twice.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
-from .events import Timeout, PRIORITY_NORMAL
+from .events import PRIORITY_NORMAL, Timeout, _PooledTimeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
@@ -108,8 +109,21 @@ class Clock:
         else:
             period = self.period_ps
             delay = period - (now - phase) % period
-        return sim.pooled_timeout(delay, priority=priority,
-                                  name=self._edge_name)
+        # Inlined Simulator.pooled_timeout() re-arm (delay > 0 here).
+        pool = sim._timeout_pool
+        if pool:
+            timeout = pool.pop()
+            timeout.callbacks = []
+            timeout._value = None
+            timeout._ok = True
+            timeout._processed = False
+            timeout.delay = delay
+            timeout.name = self._edge_name
+            sim._sequence = sequence = sim._sequence + 1
+            heappush(sim._queue, (now + delay, priority, sequence, timeout))
+            return timeout
+        return _PooledTimeout(sim, delay, priority=priority,
+                              name=self._edge_name)
 
     def edges(self, n: int, priority: int = PRIORITY_NORMAL) -> Timeout:
         """Event firing ``n`` rising edges from now (``n`` >= 1).
@@ -118,9 +132,27 @@ class Clock:
         if n < 1:
             raise ValueError(f"edges() needs n >= 1, got {n}")
         sim = self.sim
-        target = self.next_edge_time() + (n - 1) * self.period_ps
-        return sim.pooled_timeout(target - sim._now, priority=priority,
-                                  name=self._edge_name)
+        now = sim._now
+        phase = self.phase_ps
+        period = self.period_ps
+        if now < phase:
+            delay = phase - now + (n - 1) * period
+        else:
+            delay = n * period - (now - phase) % period
+        pool = sim._timeout_pool
+        if pool:
+            timeout = pool.pop()
+            timeout.callbacks = []
+            timeout._value = None
+            timeout._ok = True
+            timeout._processed = False
+            timeout.delay = delay
+            timeout.name = self._edge_name
+            sim._sequence = sequence = sim._sequence + 1
+            heappush(sim._queue, (now + delay, priority, sequence, timeout))
+            return timeout
+        return _PooledTimeout(sim, delay, priority=priority,
+                              name=self._edge_name)
 
     def delay(self, cycles: int) -> Timeout:
         """Event firing exactly ``cycles`` periods from *now* (not aligned).

@@ -330,11 +330,11 @@ class CdcFifo(Fifo[T]):
         if self._total_level() < self.capacity and not self._put_waiters:
             self._launch(item)
             if self._lt:
-                return completed_event(self.sim, name=f"{self.name}.put")
-            event = Event(self.sim, name=f"{self.name}.put")
+                return completed_event(self.sim, name=self._put_name)
+            event = Event(self.sim, name=self._put_name)
             event.succeed()
             return event
-        event = Event(self.sim, name=f"{self.name}.put")
+        event = Event(self.sim, name=self._put_name)
         self._put_waiters.append((event, item))
         return event
 

@@ -37,6 +37,8 @@ class Semaphore:
         self._waiters: Deque[Event] = deque()
         #: Loosely-timed flag, captured once (select-once discipline).
         self._lt = sim.lt_enabled
+        # Precomputed event label keeps the f-string out of acquire().
+        self._acquire_name = name + ".acquire"
 
     @property
     def available(self) -> int:
@@ -54,11 +56,11 @@ class Semaphore:
             self._tokens -= 1
             if self._lt:
                 # LT: the grant is immediate — no queue round-trip.
-                return completed_event(self.sim, name=f"{self.name}.acquire")
-            event = Event(self.sim, name=f"{self.name}.acquire")
+                return completed_event(self.sim, name=self._acquire_name)
+            event = Event(self.sim, name=self._acquire_name)
             event.succeed()
             return event
-        event = Event(self.sim, name=f"{self.name}.acquire")
+        event = Event(self.sim, name=self._acquire_name)
         self._waiters.append(event)
         return event
 
@@ -154,6 +156,7 @@ class Barrier:
         self.parties = parties
         self._waiting: Deque[Event] = deque()
         self.generations = 0
+        self._wait_name = name + ".wait"
 
     @property
     def waiting(self) -> int:
@@ -162,7 +165,7 @@ class Barrier:
 
     def wait(self) -> Event:
         """Event completing when all parties have arrived."""
-        event = Event(self.sim, name=f"{self.name}.wait")
+        event = Event(self.sim, name=self._wait_name)
         self._waiting.append(event)
         if len(self._waiting) >= self.parties:
             self.generations += 1

@@ -107,19 +107,15 @@ class AhbLayer(Fabric):
             self._checks.note_accept(self, txn)
         # No split support: hold the layer until every response beat (read
         # data or write acknowledgement) has been received.
+        responses = target.response_fifo._items
         while True:
-            beat = None
-            if not target.response_fifo.is_empty:
-                head = target.response_fifo.peek()
-                if head.txn is txn:
-                    beat = target.response_fifo.try_get()
-                else:  # pragma: no cover - serial layer, single txn in flight
-                    raise RuntimeError(
-                        f"AHB {self.name}: foreign beat {head!r} during {txn!r}")
-            if beat is None:
+            while not responses:
                 # Slave wait state: the layer idles but stays held.
                 yield clk.edge()
-                continue
+            if responses[0].txn is not txn:  # pragma: no cover - serial layer
+                raise RuntimeError(f"AHB {self.name}: foreign beat "
+                                   f"{responses[0]!r} during {txn!r}")
+            beat = target.response_fifo.try_get()
             cycles = self.bus_cycles_for_beat(txn.beat_bytes)
             if beat.is_write_ack:
                 cycles = 1

@@ -72,33 +72,40 @@ class AxiFabric(Fabric):
     # request side (AR / AW+W)
     # ------------------------------------------------------------------
     def _candidates_for(self, opcode: Opcode):
-        """Ports whose head-of-queue transaction travels this address channel
-        and whose decoded target can accept it."""
+        """One pass over the initiators: ``(ready, waiting)``.
+
+        ``ready`` lists the ports whose head-of-queue transaction travels
+        this address channel and whose decoded target can accept it;
+        ``waiting`` says whether any head travels this channel at all."""
         ready = []
-        for port, txn in self.request_candidates():
+        waiting = False
+        for port in self.initiators:
+            heads = port.pending._items
+            if not heads:
+                continue
+            txn = heads[0]
             if txn.opcode is not opcode:
                 continue
+            waiting = True
             target = self.try_route(txn.address)
-            if target is not None and target.request_fifo.is_full:
+            if target is not None and len(target.request_fifo._items) \
+                    >= target.request_fifo.capacity:
                 continue
             # Unmapped addresses stay eligible and become DECERR responses.
             ready.append((port, txn))
-        return ready
-
-    def _has_blocked(self, opcode: Opcode) -> bool:
-        return any(not port.pending.is_empty and
-                   port.pending.peek().opcode is opcode
-                   for port in self.initiators)
+        return ready, waiting
 
     def _address_process(self, opcode: Opcode):
         clk = self.clock
         arbiter = self.arbiter if opcode is Opcode.READ else self.write_arbiter
         channel = self.ar_channel if opcode is Opcode.READ else self.w_channel
         while True:
-            candidates = self._candidates_for(opcode)
+            seen = self._scan_version
+            candidates, waiting = self._candidates_for(opcode)
             if not candidates:
-                if self._has_blocked(opcode):
-                    yield clk.edge()
+                if waiting:
+                    # Every head for this channel decodes to a full target.
+                    yield from self._stall(seen)
                 else:
                     yield self._wait_request_work()
                 continue

@@ -13,9 +13,18 @@ initiator ports to target ports:
   target wait states (Section 3.1).
 
 The base class provides address decoding, work-notification plumbing (so
-fabric processes sleep when idle instead of polling), channel-occupancy
-bookkeeping and width conversion helpers.  Timing behaviour lives entirely in
-the protocol subclasses.
+fabric processes sleep when idle instead of polling), change-gated stall
+polling, channel-occupancy bookkeeping and width conversion helpers.
+Timing behaviour lives entirely in the protocol subclasses.
+
+Change-gated stall polling: a request channel whose queued requests all
+decode to full targets stalls one clock edge at a time.  The
+eligibility scan it would repeat at each edge reads only the initiator
+``pending`` FIFOs and the target ``request_fifo`` levels, so the base class
+watches exactly those FIFOs and bumps :attr:`Fabric._scan_version` on every
+level change.  :meth:`Fabric._stall` still waits one edge per stalled cycle
+(the event stream is unchanged) but hands control back for a rescan only
+once that version has moved.
 """
 
 from __future__ import annotations
@@ -225,6 +234,10 @@ class Fabric(Component):
         #: Channel occupancy accounting, keyed by channel name.
         self.channels: Dict[str, ChannelUtilization] = {}
         self.decode_errors = sim.metrics.counter(f"{name}.decode_errors")
+        #: Bumped on every level change of a request-side scan input (an
+        #: initiator ``pending`` FIFO or a target ``request_fifo``); stall
+        #: polls rescan only once it has moved (:meth:`_stall`).
+        self._scan_version = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -234,6 +247,8 @@ class Fabric(Component):
         port = InitiatorPort(self, name, max_outstanding=max_outstanding,
                              queue_depth=queue_depth)
         self.initiators.append(port)
+        port.pending.watch(self._on_scan_input)
+        self._scan_version += 1
         return port
 
     def add_target(self, name: str, address_range: AddressRange,
@@ -247,12 +262,18 @@ class Fabric(Component):
                           request_depth=request_depth,
                           response_depth=response_depth)
         self.targets.append(port)
+        port.request_fifo.watch(self._on_scan_input)
+        self._scan_version += 1
         if self._lt:
-            # LT replaces the request channel's per-cycle "target full"
-            # poll with an event-driven wait, so a draining target FIFO
-            # must wake it (in CA the poll observes the drain by itself).
+            # LT replaces the STBus/generic request channel's "target
+            # full" stall with an event-driven wait, so a draining target
+            # FIFO must wake it.
             port.request_fifo.watch(self._on_target_request_level)
         return port
+
+    def _on_scan_input(self, _time: int, _old: int, _new: int) -> None:
+        """A request-side scan input moved: stalled channels must rescan."""
+        self._scan_version += 1
 
     def _on_target_request_level(self, _time: int, old: int, new: int) -> None:
         """LT-only: a target request FIFO drained — grants may now be
@@ -313,6 +334,20 @@ class Fabric(Component):
 
     def _wait_response_work(self) -> Event:
         return self._response_work.wait()
+
+    def _stall(self, seen: int):
+        """Request stall: wait one clock edge per stalled cycle until a
+        scan input has moved since version ``seen`` was read.
+
+        The caller reads ``seen = self._scan_version`` *before* the scan
+        that found nothing grantable; rescanning before any watched FIFO
+        changed would only repeat that verdict, so the edge events stay
+        exactly those of a per-cycle rescan.
+        """
+        clk = self.clock
+        yield clk.edge()
+        while self._scan_version == seen:
+            yield clk.edge()
 
     # ------------------------------------------------------------------
     # shared helpers for subclasses

@@ -124,20 +124,17 @@ class StbusCrossbar(StbusNode):
                 out.append((ip, txn))
         return out
 
-    def _has_any_for_target(self, port: TargetPort) -> bool:
-        return bool(self._candidates_for_target(port))
-
     def _request_engine(self, port: TargetPort, arbiter: Arbiter):
         clk = self.clock
         stalled = 0
         while True:
+            seen = self._scan_version
             candidates = self._candidates_for_target(port)
-            if not candidates or (self.supports_split
-                                  and port.request_fifo.is_full):
-                if candidates:
-                    yield clk.edge()  # backpressured: poll
-                else:
-                    yield self._wait_request_work()
+            if not candidates:
+                yield self._wait_request_work()
+                continue
+            if self.supports_split and port.request_fifo.is_full:
+                yield from self._stall(seen)  # backpressured
                 continue
             try:
                 ip, txn = arbiter.select(candidates)

@@ -117,6 +117,7 @@ class GenericFabric(Fabric):
         clk = self.clock
         lt = self._lt
         while True:
+            seen = self._scan_version
             candidates = self._eligible_requests()
             if not candidates:
                 if any(p.pending._items for p in self.initiators):
@@ -127,7 +128,7 @@ class GenericFabric(Fabric):
                         if not clk.at_edge():
                             yield clk.edge()
                     else:
-                        yield clk.edge()
+                        yield from self._stall(seen)
                 else:
                     yield self._wait_request_work()
                 continue
@@ -203,7 +204,8 @@ class GenericFabric(Fabric):
             current = None if item.is_last else (target, item.txn)
 
     def _pick_beat(self, current):
-        """Next response beat to forward (see ``StbusNode._pick_beat``)."""
+        """Next response beat to forward: the ``StbusNode._pick_beat``
+        rules, with fixed priority by target port name across targets."""
         candidates = self.response_candidates()
         if current is not None:
             target, txn = current

@@ -100,11 +100,14 @@ class StbusNode(Fabric):
     def _eligible_requests(self):
         """Grant candidates; with split support, only those whose target can
         accept the request right now (others would block the channel)."""
-        candidates = self.request_candidates()
         if not self.supports_split:
-            return candidates
+            return self.request_candidates()
         ready = []
-        for port, txn in candidates:
+        for port in self.initiators:
+            heads = port.pending._items
+            if not heads:
+                continue
+            txn = heads[0]
             target = self.try_route(txn.address)
             # (Plain-Fifo fullness check, inlined — target request FIFOs
             # are always base Fifos.)  Unmapped addresses stay eligible:
@@ -124,6 +127,7 @@ class StbusNode(Fabric):
         lt = self._lt
         stalled_rounds = 0
         while True:
+            seen = self._scan_version
             candidates = self._eligible_requests()
             if not candidates:
                 if any(p.pending._items for p in self.initiators):
@@ -138,8 +142,9 @@ class StbusNode(Fabric):
                             yield clk.edge()
                     else:
                         # Requests exist but every decoded target is full:
-                        # the request/grant handshake stalls for a cycle.
-                        yield clk.edge()
+                        # the request/grant handshake stalls cycle by
+                        # cycle until a scan input moves.
+                        yield from self._stall(seen)
                 else:
                     yield self._wait_request_work()
                 continue
@@ -300,8 +305,8 @@ class StbusNode(Fabric):
                           if self._packet_streamable(t, b)]
         if not candidates:
             return None
-        # Per-beat rotation across targets: deterministic round robin keyed
-        # on the target port.
+        # Fixed priority across targets: the ready target whose port name
+        # sorts first wins (deterministic, not a round robin).
         return min(candidates, key=lambda cand: cand[0].name)
 
     def snapshot_state(self, encoder):
